@@ -11,7 +11,11 @@ type t = {
           printed in Tbl. 4 *)
   factor_kinds : string * string * string;  (** factor types per algorithm *)
   graphs : Rng.t -> (string * Graph.t) list;
-      (** one frame: the localization, planning and control graphs *)
+      (** one frame: the localization, planning and control graphs.
+          The rng draws values only: the graphs' structure (graph
+          names, variable names and kinds, factor names, scopes and
+          error dimensions) must not depend on it.  The serving runtime
+          keys each app's template once per run on that contract. *)
   mission : seed:int -> solver:[ `Software | `Compiled ] -> bool;
 }
 

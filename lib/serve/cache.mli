@@ -45,8 +45,13 @@ val structural_key : ?opt_level:int -> (string * Orianna_fg.Graph.t) list -> int
     instruction-stream optimizer changes the compiled artifact (and
     its {!Program.hash}) without changing the template, so entries
     compiled at different levels must not alias.  The level is clamped
-    to the effective one (0, 1, or 2): levels beyond 2 compile
-    identically to 2 and share its entry. *)
+    to the effective one (0, 1, 2 or 3): levels beyond 3 compile
+    identically to 3 and share its entry.
+
+    Contract: an app's graph structure must not depend on the rng it
+    is built from (see [Orianna_apps.App.graphs]).  [Serve.run]
+    relies on it to compute each app template's key once per run and
+    reuse it for every request of that app. *)
 
 val program_key : Program.t -> int32
 (** The fallback content key: {!Program.hash}. *)

@@ -271,16 +271,30 @@ let run ?(config = default_config) ?sessions ~trace () =
         queue_samples := (!clock, depth) :: !queue_samples;
         Obs.set_gauge "serve.queue_depth" (float_of_int depth)
   in
-  let admit (r : Request.t) =
-    let key_opt =
-      match r.Request.kind with
-      | Request.Solve -> (
+  (* A Solve's key depends only on its app's template, never on the
+     seed ({!Cache.structural_key} excludes values), so each app name is
+     keyed once per run; an unknown app maps to [None]. *)
+  let template_keys = Hashtbl.create 8 in
+  let template_key (r : Request.t) =
+    match Hashtbl.find_opt template_keys r.Request.app with
+    | Some k -> k
+    | None ->
+        let k =
           match App.find r.Request.app with
           | exception Not_found -> None
           | app ->
+              Obs.count "serve.template_keys";
               Some
                 (Cache.structural_key ~opt_level:config.opt_level
-                   (app.App.graphs (Rng.of_int r.Request.seed))))
+                   (app.App.graphs (Rng.of_int r.Request.seed)))
+        in
+        Hashtbl.replace template_keys r.Request.app k;
+        k
+  in
+  let admit (r : Request.t) =
+    let key_opt =
+      match r.Request.kind with
+      | Request.Solve -> template_key r
       | Request.Tick _ -> (
           (* A tick without a session layer (or for an unknown session)
              has no program to run. *)
@@ -310,7 +324,7 @@ let run ?(config = default_config) ?sessions ~trace () =
           in
           match victim with
           | Some v ->
-              queue := List.filter (fun q -> q.req.Request.id <> v.req.Request.id) !queue @ [ q ];
+              queue := List.filter (fun q -> q != v) !queue @ [ q ];
               admitted := !admitted + 1;
               Hashtbl.replace live r.Request.id 1;
               Obs.count "serve.admitted";

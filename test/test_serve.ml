@@ -22,13 +22,27 @@ let small_config ?(instances = 2) ?(masked = []) ?(policy = Dispatch.Edf) ?(queu
 
 (* ---------- cache ---------- *)
 
+(* Different workload seeds perturb values, never structure: the whole
+   point of content addressing is that they collide.  [Serve.run] keys
+   each app template once per run on the strength of this, so every app
+   in the registry is checked, and the apps must stay pairwise
+   distinct. *)
+let structural_key_at (app : App.t) seed = Cache.structural_key (app.App.graphs (Rng.of_int seed))
+let keys_at_seed1 =
+  lazy (List.map (fun (app : App.t) -> (app.App.name, structural_key_at app 1)) App.all)
+
+let prop_structural_key_seed_invariant =
+  QCheck.Test.make ~name:"cache: structural key is seed-invariant per app" ~count:20
+    QCheck.(pair (int_range 0 (List.length App.all - 1)) (int_range 0 1_000_000))
+    (fun (i, seed) ->
+      let app = List.nth App.all i in
+      structural_key_at app seed = List.assoc app.App.name (Lazy.force keys_at_seed1))
+
 let test_structural_key_seed_invariant () =
-  (* Different workload seeds perturb values, never structure: the
-     whole point of content addressing is that they collide. *)
-  let k seed = Cache.structural_key (App.mobile_robot.App.graphs (Rng.of_int seed)) in
-  Alcotest.(check bool) "seeds collide" true (k 1 = k 2 && k 2 = k 999);
-  let km seed = Cache.structural_key (App.manipulator.App.graphs (Rng.of_int seed)) in
-  Alcotest.(check bool) "apps differ" true (k 1 <> km 1)
+  let keys = List.map snd (Lazy.force keys_at_seed1) in
+  Alcotest.(check int) "apps pairwise distinct" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  QCheck.Test.check_exn prop_structural_key_seed_invariant
 
 let test_structural_key_opt_level () =
   (* Effective opt levels are {0, 1, 2, 3}: distinct levels must not
@@ -222,6 +236,35 @@ let prop_conservation_chaos =
            (fun c -> c.Serve.attempts <= max_retries + (if hedge then 1 else 0))
            r.Serve.completions)
 
+(* Hedging with a queue small enough to shed: a retry and its hedged
+   twin can both sit in the queue when an arrival sheds one of them.
+   Shedding must retire that copy alone, so the other still reaches a
+   terminal state and the id is conserved. *)
+let hedge_shed_arb =
+  QCheck.(
+    make
+      Gen.(pair (int_range 1 1_000_000) (oneofl [ 2; 4; 8 ]))
+      ~print:QCheck.Print.(pair int int))
+
+let prop_conservation_hedged_shedding =
+  QCheck.Test.make ~name:"serve: hedged retries under shedding conserve every request" ~count:8
+    hedge_shed_arb (fun (seed, queue_capacity) ->
+      let t =
+        Request.generate ~rng:(Rng.of_int seed)
+          ~shape:(Request.Poisson { rate_hz = 40000.0 })
+          ~apps:apps2 ~deadline_s:(1e-3, 3e-3) ~n:120
+      in
+      let config =
+        {
+          (small_config ~instances:2 ~queue_capacity ()) with
+          Serve.max_retries = 2;
+          hedge = true;
+          hedge_slack_s = 5e-3;
+          chaos = Some (Chaos.of_intensity ~seed:(seed lxor 0x5DEECE) ~mttr_s:2e-3 0.3);
+        }
+      in
+      conserved_chaos t (Serve.run ~config ~trace:t ()))
+
 let test_chaos_campaign_job_invariance () =
   (* The Monte-Carlo chaos campaign fans runs over the domain pool; its
      JSON must be byte-identical at -j 1 and -j 4. *)
@@ -384,6 +427,19 @@ let test_obs_counters_single_source () =
   Alcotest.(check int) "Obs serve.rerouted = report.rerouted" r.Serve.rerouted rerouted_counter;
   Alcotest.(check int) "Obs serve.deadline_miss = report.deadline_misses" r.Serve.deadline_misses
     miss_counter
+
+let test_template_keys_counter () =
+  (* Admission keys each Solve template once per run, however many
+     requests share it. *)
+  let t = trace ~apps:(List.map (fun (a : App.t) -> a.App.name) App.all) ~seed:42 ~n:400 () in
+  let module Obs = Orianna_obs.Obs in
+  Obs.enable ();
+  Obs.reset ();
+  let r = Serve.run ~config:(small_config ~queue_capacity:512 ()) ~trace:t () in
+  let keyed = Obs.counter "serve.template_keys" in
+  Obs.disable ();
+  Alcotest.(check int) "every request admitted" 400 r.Serve.admitted;
+  Alcotest.(check int) "one key per template" (List.length App.all) keyed
 
 (* ---------- streaming sessions ---------- *)
 
@@ -558,6 +614,7 @@ let () =
           Alcotest.test_case "breaker state machine" `Quick test_breaker_state_machine;
           Alcotest.test_case "breaker trips on transients" `Slow test_breaker_opens_on_transients;
           Alcotest.test_case "Obs counters single-sourced" `Slow test_obs_counters_single_source;
+          Alcotest.test_case "template keys counted once" `Slow test_template_keys_counter;
         ] );
       ( "sessions",
         [
@@ -573,5 +630,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_conservation;
           QCheck_alcotest.to_alcotest prop_conservation_chaos;
+          QCheck_alcotest.to_alcotest prop_conservation_hedged_shedding;
         ] );
     ]
