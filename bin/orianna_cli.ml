@@ -55,13 +55,34 @@ let jobs_flag =
 let set_jobs jobs = Option.iter Orianna_par.Pool.set_default_jobs jobs
 
 let opt_level_flag =
-  Arg.(value & opt int 1
+  Arg.(value & opt (enum [ ("0", 0); ("1", 1); ("3", 3) ]) 1
        & info [ "opt-level"; "O" ] ~docv:"N"
            ~doc:"Instruction-stream optimization level: 0 = off, 1 = CSE + peephole fusion + DCE + \
-                 latency-aware reorder (default), 2 = additionally reorder with stall attribution \
-                 measured by a cycle-level schedule of the compiled stream, 3 = profile-guided \
-                 fixpoint (resource-aware list scheduling + superword batching of same-shape \
-                 matrix ops, every pass accepted only if the measured cycle count improves).")
+                 latency-aware reorder (default), 3 = additionally a profile-guided fixpoint \
+                 measured on the base accelerator (stall-weighted reorder, resource-aware list \
+                 scheduling and superword batching of same-shape matrix ops, every pass accepted \
+                 only if the measured cycle count improves).")
+
+let policy_flag =
+  let policies =
+    List.map
+      (fun p -> (Schedule.policy_name p, p))
+      [ Schedule.Ooo_full; Schedule.Ooo_fine; Schedule.In_order ]
+  in
+  Arg.(value & opt (enum policies) Schedule.Ooo_full
+       & info [ "policy" ] ~docv:"POLICY"
+           ~doc:("Issue policy: " ^ doc_alts_enum policies ^ "."))
+
+(* One application stream as every shipped path builds it: compile at
+   [opt_level], then [Opt_loop.post_compile_traced], whose report is
+   [Some] when the measured loop ran (level 3). *)
+let shipped_stream ?(dense = false) ~opt_level app ~seed =
+  let graphs = app.App.graphs (Rng.of_int seed) in
+  let program =
+    if dense then Orianna_compiler.Compile.compile_dense_application ~opt_level graphs
+    else Orianna_compiler.Compile.compile_application ~opt_level graphs
+  in
+  Opt_loop.post_compile_traced ~level:opt_level program
 
 (* ---------------- observability plumbing ---------------- *)
 
@@ -129,16 +150,7 @@ let compile_cmd =
           ("opt_level", string_of_int opt_level);
         ]
     @@ fun () ->
-    let graphs = app.App.graphs (Rng.of_int seed) in
-    let program =
-      if dense then Orianna_compiler.Compile.compile_dense_application ~opt_level graphs
-      else Orianna_compiler.Compile.compile_application ~opt_level graphs
-    in
-    let program =
-      if opt_level >= 3 then Opt_loop.optimize ~level:opt_level program
-      else if opt_level >= 2 then Pipeline.reoptimize program
-      else program
-    in
+    let program, _ = shipped_stream ~dense ~opt_level app ~seed in
     Format.printf "%a@." Program.pp_stats (Program.stats program);
     if dump then Format.printf "%a@." Program.pp program;
     []
@@ -210,11 +222,6 @@ let generate_cmd =
 (* ---------------- simulate ---------------- *)
 
 let simulate_cmd =
-  let policy =
-    Arg.(value
-         & opt (enum [ ("ooo", Schedule.Ooo_full); ("fine", Schedule.Ooo_fine); ("io", Schedule.In_order) ]) Schedule.Ooo_full
-         & info [ "policy" ] ~doc:"Issue policy: ooo, fine or io.")
-  in
   let timeline =
     Arg.(value & flag
          & info [ "timeline" ]
@@ -245,7 +252,7 @@ let simulate_cmd =
     if trace <> None then Orianna_sim.Trace.chrome_events frame.Pipeline.program r else []
   in
   let term =
-    Term.(const run $ app_pos $ seed_flag $ jobs_flag $ opt_level_flag $ policy $ timeline
+    Term.(const run $ app_pos $ seed_flag $ jobs_flag $ opt_level_flag $ policy_flag $ timeline
           $ trace_flag $ report_flag)
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Cycle-level execution on a generated accelerator.") term
@@ -253,11 +260,6 @@ let simulate_cmd =
 (* ---------------- trace ---------------- *)
 
 let trace_cmd =
-  let policy =
-    Arg.(value
-         & opt (enum [ ("ooo", Schedule.Ooo_full); ("fine", Schedule.Ooo_fine); ("io", Schedule.In_order) ]) Schedule.Ooo_full
-         & info [ "policy" ] ~doc:"Issue policy: ooo, fine or io.")
-  in
   let gantt = Arg.(value & opt (some string) None & info [ "gantt" ] ~docv:"FILE" ~doc:"Write a per-instruction schedule CSV.") in
   let dot = Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc:"Write the dependency DAG as GraphViz dot.") in
   let svg = Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc:"Write a Gantt chart as SVG.") in
@@ -277,7 +279,7 @@ let trace_cmd =
     Option.iter (fun path -> write path (Orianna_sim.Trace.to_dot frame.Pipeline.program)) dot;
     Option.iter (fun path -> write path (Orianna_viz.Plots.gantt_svg frame.Pipeline.program r)) svg
   in
-  let term = Term.(const run $ app_pos $ seed_flag $ policy $ gantt $ dot $ svg) in
+  let term = Term.(const run $ app_pos $ seed_flag $ policy_flag $ gantt $ dot $ svg) in
   Cmd.v (Cmd.info "trace" ~doc:"Dump schedule timelines, Gantt CSVs and dependency graphs.") term
 
 (* ---------------- mission ---------------- *)
@@ -390,11 +392,6 @@ let g2o_cmd =
 (* ---------------- profile ---------------- *)
 
 let profile_cmd =
-  let policy =
-    Arg.(value
-         & opt (enum [ ("ooo", Schedule.Ooo_full); ("fine", Schedule.Ooo_fine); ("io", Schedule.In_order) ]) Schedule.Ooo_full
-         & info [ "policy" ] ~doc:"Issue policy: ooo, fine or io.")
-  in
   let json_flag =
     Arg.(value & flag
          & info [ "json" ]
@@ -558,23 +555,16 @@ let profile_cmd =
     else begin
     set_jobs jobs;
     Obs.enable ();
-    let frame = Obs.with_span "compile" (fun () -> Pipeline.frame ~opt_level app ~seed) in
-    let accel =
-      Obs.with_span "generate" (fun () -> (Pipeline.generate frame.Pipeline.program).Dse.best)
+    let program, opt_report =
+      Obs.with_span "compile" (fun () -> shipped_stream ~opt_level app ~seed)
     in
-    let r = Obs.with_span "simulate" (fun () -> Schedule.run ~accel ~policy frame.Pipeline.program) in
-    (* Per-pass cycle attribution: rerun the optimizer from the O0
-       stream with a measured probe on the generated accelerator, so
-       every accepted (or rejected) pass reports its cycle delta. *)
+    let accel = Obs.with_span "generate" (fun () -> (Pipeline.generate program).Dse.best) in
+    let r = Obs.with_span "simulate" (fun () -> Schedule.run ~accel ~policy program) in
+    (* Per-pass cycle attribution of the shipped measured loop (level
+       3 only): every accepted (or rejected) pass with its cycle delta
+       as the loop measured it. *)
     let opt_deltas =
-      if opt_level >= 1 then
-        Obs.with_span "opt-passes" (fun () ->
-            let p0 =
-              Orianna_compiler.Compile.compile_application ~opt_level:0 frame.Pipeline.graphs
-            in
-            let _, _, rep = Opt_loop.optimize_traced ~accel ~policy ~level:opt_level p0 in
-            rep.Orianna_isa.Opt.cycle_deltas)
-      else []
+      match opt_report with Some rep -> rep.Orianna_isa.Opt.cycle_deltas | None -> []
     in
     let meta =
       std_meta
@@ -612,7 +602,7 @@ let profile_cmd =
       (r.Schedule.seconds *. 1e3);
     if opt_deltas <> [] then begin
       let t =
-        Texttable.create ~title:(Printf.sprintf "Optimizer passes (O0 -> O%d, measured)" opt_level)
+        Texttable.create ~title:"Optimizer passes (O3 measured loop, base accelerator, ooo-full)"
           ~headers:[ "pass"; "cycles saved" ]
       in
       List.iter (fun (pass, d) -> Texttable.add_row t [ pass; string_of_int d ]) opt_deltas;
@@ -657,7 +647,7 @@ let profile_cmd =
       (fun path ->
         Chrome_trace.write_file path
           (Chrome_trace.of_spans (Obs.spans ())
-          @ Orianna_sim.Trace.chrome_events frame.Pipeline.program r);
+          @ Orianna_sim.Trace.chrome_events program r);
         Format.printf "wrote %s@." path)
       trace;
     Option.iter
@@ -669,7 +659,7 @@ let profile_cmd =
   in
   let term =
     Term.(
-      const run $ app_pos $ seed_flag $ jobs_flag $ opt_level_flag $ policy $ json_flag
+      const run $ app_pos $ seed_flag $ jobs_flag $ opt_level_flag $ policy_flag $ json_flag
       $ par_flag $ trace_flag $ report_flag)
   in
   Cmd.v
@@ -683,11 +673,6 @@ let faults_cmd =
   let missions =
     Arg.(value & opt int Campaign.default_config.Campaign.missions
          & info [ "missions" ] ~docv:"N" ~doc:"Monte-Carlo missions (one injected fault each).")
-  in
-  let policy =
-    Arg.(value
-         & opt (enum [ ("ooo", Schedule.Ooo_full); ("fine", Schedule.Ooo_fine); ("io", Schedule.In_order) ]) Schedule.Ooo_full
-         & info [ "policy" ] ~doc:"Issue policy: ooo, fine or io.")
   in
   let retries =
     Arg.(value & opt int Campaign.default_config.Campaign.max_retries
@@ -753,7 +738,7 @@ let faults_cmd =
     end
   in
   let term =
-    Term.(const run $ app_pos $ seed_flag $ jobs_flag $ missions $ policy $ retries $ events
+    Term.(const run $ app_pos $ seed_flag $ jobs_flag $ missions $ policy_flag $ retries $ events
           $ json_flag $ trace_flag $ report_flag)
   in
   Cmd.v

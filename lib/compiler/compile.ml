@@ -592,11 +592,17 @@ let compile_round ctx graph ~regs_of_var ~order =
   Obs.with_span "compile.backsub" (fun () -> compile_backsub ctx conds)
 
 (* Per-opcode emission counters over a finished stream — one place
-   covers every lowering path. *)
+   covers every lowering path.  Every [Kernel] counts under
+   [compile.op.KERNEL] whatever its name, so the counter set stays
+   bounded (kernel names stay in the listing and in traces). *)
 let record_program_counters (p : Program.t) =
   if Obs.enabled () then begin
     Array.iter
-      (fun (i : Instr.t) -> Obs.count ("compile.op." ^ Instr.opcode_name i.Instr.op))
+      (fun (i : Instr.t) ->
+        Obs.count
+          (match i.Instr.op with
+          | Instr.Kernel _ -> "compile.op.KERNEL"
+          | op -> "compile.op." ^ Instr.opcode_name op))
       p.Program.instrs;
     Obs.count "compile.instructions" ~n:(Program.length p)
   end;

@@ -48,28 +48,14 @@ type frame = {
   dense_program : Program.t;
 }
 
-(* Schedule-informed reorder (O2): run the program once on a reference
-   accelerator, attribute every operand-wait cycle to its
-   last-finishing producer, and feed the measured weights back into
-   [Opt.reorder].  The compile-time reorder uses only a static latency
-   model; this closes the loop with the cycle-level simulator.  At O3,
-   [Opt_loop.optimize] runs the full profile-guided fixpoint instead
-   (resource-aware reorder + superword batching, every step accepted
-   only if the measured cycle count improves). *)
-let reoptimize = Trace.reoptimize
-
 let frame ?(opt_level = 1) (app : App.t) ~seed =
   let graphs = app.App.graphs (Rng.of_int seed) in
-  let maybe_feedback p =
-    if opt_level >= 3 then Opt_loop.optimize ~level:opt_level p
-    else if opt_level >= 2 then reoptimize p
-    else p
-  in
-  let program = Compile.compile_application ~opt_level graphs |> maybe_feedback in
+  let post_compile = Opt_loop.post_compile ~level:opt_level in
+  let program = Compile.compile_application ~opt_level graphs |> post_compile in
   let algo_programs =
-    List.mapi (fun i (name, g) -> (name, Compile.compile ~algo:i ~opt_level g |> maybe_feedback)) graphs
+    List.mapi (fun i (name, g) -> (name, Compile.compile ~algo:i ~opt_level g |> post_compile)) graphs
   in
-  let dense_program = Compile.compile_dense_application ~opt_level graphs |> maybe_feedback in
+  let dense_program = Compile.compile_dense_application ~opt_level graphs |> post_compile in
   { app; graphs; program; algo_programs; dense_program }
 
 type evaluation = {

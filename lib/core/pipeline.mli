@@ -44,19 +44,12 @@ type frame = {
   dense_program : Program.t;  (** the VANILLA-HLS lowering *)
 }
 
-val reoptimize : ?accel:Accel.t -> ?policy:Schedule.policy -> Program.t -> Program.t
-(** Schedule-informed reorder: simulate the program once (default: the
-    base accelerator, in-order issue — the policy most sensitive to
-    program order), attribute operand-wait cycles to their
-    last-finishing producers with [Trace.operand_stalls], and re-run
-    [Orianna_isa.Opt.reorder] with the measured weights.  Semantics
-    are unchanged; only the issue order moves. *)
-
 val frame : ?opt_level:int -> App.t -> seed:int -> frame
 (** Build and compile one frame of an application.  [opt_level]
     (default 1) is forwarded to the compiler's instruction-stream
-    optimizer; at [>= 2] every compiled stream additionally gets one
-    {!reoptimize} feedback round. *)
+    optimizer, and every compiled stream then goes through
+    [Opt_loop.post_compile] at the same level (the measured loop at
+    level 3). *)
 
 type evaluation = {
   eframe : frame;

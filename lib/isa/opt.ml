@@ -852,7 +852,7 @@ let optimize_traced ?(level = 1) ?cost_model ?probe (p : Program.t) =
     in
     (* Accept-if-better guard: with a measurement available, keep a
        candidate stream only if it does not cost cycles; without one
-       (levels 1-2, no probe), reorder unconditionally as before. *)
+       (below level 3, no probe), reorder unconditionally as before. *)
     (if not measurable then accept_reorder (reorder !prog)
      else begin
        let c0, _ = measure !prog in
@@ -864,21 +864,21 @@ let optimize_traced ?(level = 1) ?cost_model ?probe (p : Program.t) =
        end
        else deltas := ("reorder (rejected)", c0 - c1) :: !deltas
      end);
-    (* O2: one measured-stall feedback round. *)
-    if level >= 2 && measurable && Option.is_some probe then begin
-      let c0, stalls = measure !prog in
-      let ((q, _) as cand) = reorder ~stalls !prog in
-      let c1, _ = measure q in
-      if c1 < c0 then begin
-        accept_reorder cand;
-        deltas := ("reorder+stalls", c0 - c1) :: !deltas
-      end
-    end;
-    (* O3: profile-guided fixpoint — resource-aware global reorder and
+    (* O3: with a probe, one measured-stall reorder round first; then
+       the profile-guided fixpoint — resource-aware global reorder and
        superword batching candidates, each accepted only if measured
        (or modeled) cycles strictly improve, iterated until no
        candidate helps. *)
     if level >= 3 then begin
+      if Option.is_some probe then begin
+        let c0, stalls = measure !prog in
+        let ((q, _) as cand) = reorder ~stalls !prog in
+        let c1, _ = measure q in
+        if c1 < c0 then begin
+          accept_reorder cand;
+          deltas := ("reorder+stalls", c0 - c1) :: !deltas
+        end
+      end;
       let improved = ref true in
       let fixrounds = ref 0 in
       while !improved && !fixrounds < 6 do

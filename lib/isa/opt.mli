@@ -125,11 +125,12 @@ val superword :
 val optimize : ?level:int -> ?cost_model:cost_model -> ?probe:probe -> Program.t -> Program.t
 (** [optimize ~level p]: [level <= 0] returns [p] unchanged; [level >=
     1] runs fuse+cse to a fixpoint, then dce, then a statically
-    weighted reorder; [level >= 2] adds one measured-stall reorder
-    round (requires [probe]); [level >= 3] adds a profile-guided
+    weighted reorder; [level >= 3] adds one measured-stall reorder
+    round (only with a [probe]) followed by a profile-guided
     fixpoint — resource-aware global reorder under [cost_model] and
     superword batching, each candidate accepted only if cycles
-    strictly improve, iterated until no candidate helps.  With a
+    strictly improve, iterated until no candidate helps.  Level 2
+    runs exactly what level 1 runs.  With a
     [probe] (or at level 3, where the {!estimate_cycles} model stands
     in), every reorder is guarded accept-if-better and the final
     stream is reverted wholesale if it measures slower than the input,

@@ -44,9 +44,9 @@ val structural_key : ?opt_level:int -> (string * Orianna_fg.Graph.t) list -> int
     design.  [opt_level] (default 1) is mixed into the key: the
     instruction-stream optimizer changes the compiled artifact (and
     its {!Program.hash}) without changing the template, so entries
-    compiled at different levels must not alias.  The level is clamped
-    to the effective one (0, 1, 2 or 3): levels beyond 3 compile
-    identically to 3 and share its entry.
+    compiled at different levels must not alias.  The level is mapped
+    to [Orianna_sim.Opt_loop.effective_level] (0, 1 or 3): levels
+    that compile identically share one entry.
 
     Contract: an app's graph structure must not depend on the rng it
     is built from (see [Orianna_apps.App.graphs]).  [Serve.run]

@@ -172,17 +172,10 @@ type flight = {
 
 let compile_graphs ~budget ~opt_level graphs =
   let program = Compile.compile_application ~opt_level graphs in
-  (* Same schedule-feedback rounds as the compile/simulate/profile CLI
-     paths: one measured-stall reorder at -O2 (Pipeline.reoptimize),
-     the full profile-guided fixpoint at -O3 (Opt_loop.optimize).
-     Without them, O2/O3 artifacts would be byte-identical to O1 while
-     still being cached under a distinct (structural key, opt_level)
+  (* Same post-compile step as the compile/simulate/profile CLI
+     paths, so the artifact matches its (structural key, opt_level)
      cache key. *)
-  let program =
-    if opt_level >= 3 then Opt_loop.optimize ~level:opt_level program
-    else if opt_level >= 2 then Trace.reoptimize program
-    else program
-  in
+  let program = Opt_loop.post_compile ~level:opt_level program in
   let dse =
     Dse.optimize ~budget
       ~evaluate:(fun accel ->

@@ -32,3 +32,19 @@ val optimize_traced :
 val optimize :
   ?accel:Accel.t -> ?policy:Schedule.policy -> ?level:int -> Program.t -> Program.t
 (** {!optimize_traced} without the map and report. *)
+
+val effective_level : int -> int
+(** The level a requested [-O] level runs at: 0 at or below 0, 1 for
+    1 and 2 (level 2 runs exactly what level 1 runs), 3 at or above
+    3.  Levels with the same effective level produce identical
+    streams. *)
+
+val post_compile_traced : level:int -> Program.t -> Program.t * Opt.report option
+(** The step every shipped path runs after [Compile ~opt_level:level]:
+    below effective level 3 the stream comes back unchanged with
+    [None]; at level 3 the measured loop ({!optimize_traced} at level
+    3 on [Accel.base ()] under [Ooo_full]) runs and its report comes
+    back too. *)
+
+val post_compile : level:int -> Program.t -> Program.t
+(** {!post_compile_traced} without the report. *)

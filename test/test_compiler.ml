@@ -262,6 +262,31 @@ let test_validate_rejects_bad_program () =
        false
      with Failure _ -> true)
 
+let test_op_counters_per_opcode () =
+  (* Program counters are per opcode, never per kernel name: at most
+     one compile.op.* counter per [Instr.opcode] constructor (18), and
+     together they count every compiled instruction. *)
+  let module Obs = Orianna_obs.Obs in
+  let module App = Orianna_apps.App in
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      List.iter
+        (fun (app : App.t) -> ignore (Compile.compile_application (app.App.graphs (Rng.of_int 42))))
+        App.all;
+      let ops =
+        List.filter
+          (fun (name, _) -> String.starts_with ~prefix:"compile.op." name)
+          (Obs.counters ())
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d op counters <= 18 opcodes" (List.length ops))
+        true
+        (List.length ops <= 18);
+      Alcotest.(check int) "op counters sum to compile.instructions"
+        (Obs.counter "compile.instructions")
+        (List.fold_left (fun acc (_, n) -> acc + n) 0 ops))
+
 let () =
   Alcotest.run "compiler"
     [
@@ -282,5 +307,6 @@ let () =
           Alcotest.test_case "application concat" `Quick test_concat_and_application;
           Alcotest.test_case "op size census" `Quick test_op_sizes_census;
           Alcotest.test_case "validate rejects bad" `Quick test_validate_rejects_bad_program;
+          Alcotest.test_case "op counters per opcode" `Quick test_op_counters_per_opcode;
         ] );
     ]

@@ -159,7 +159,8 @@ let test_schedule_invariants_on_optimized () =
     [ Schedule.In_order; Schedule.Ooo_fine; Schedule.Ooo_full ]
 
 let test_stall_weighted_reorder_equivalent () =
-  (* The O2 path: reorder again with measured stall attribution. *)
+  (* The first candidate of the measured O3 loop: reorder again with
+     measured stall attribution. *)
   let p = Compile.compile_application (App.auto_vehicle.App.graphs (Rng.of_int 3)) in
   let accel = Accel.base () in
   let r = Schedule.run ~accel ~policy:Schedule.In_order p in
@@ -171,30 +172,6 @@ let test_stall_weighted_reorder_equivalent () =
        ignore (Opt.reorder ~stalls:[| 0 |] p);
        false
      with Invalid_argument _ -> true)
-
-let test_reoptimize_feedback_round () =
-  (* Trace.reoptimize is the whole O2 feedback round (simulate ->
-     attribute stalls -> reorder) shared by Pipeline and the serving
-     runtime's compile path: a pure permutation, so the instruction
-     count is unchanged and every final estimate is preserved. *)
-  List.iter
-    (fun (app : App.t) ->
-      let p1 = Compile.compile_application ~opt_level:1 (app.App.graphs (Rng.of_int bench_seed)) in
-      let p2 = Orianna_sim.Trace.reoptimize p1 in
-      Program.validate p2;
-      Alcotest.(check int)
-        (app.App.name ^ ": O2 keeps instruction count")
-        (Program.length p1) (Program.length p2);
-      let out1 = Program.run p1 and out2 = Program.run p2 in
-      List.iter
-        (fun (name, va) ->
-          match List.assoc_opt name out2 with
-          | None -> Alcotest.failf "%s: output %s missing after O2" app.App.name name
-          | Some vb ->
-              if not (Vec.equal ~eps va vb) then
-                Alcotest.failf "%s: final estimate %s diverges under O2" app.App.name name)
-        out1)
-    App.all
 
 (* ------------------------------------------------------------------ *)
 (* O3: superword batching and the profile-guided fixpoint              *)
@@ -234,15 +211,14 @@ let test_o3_monotone_cycles () =
       let cs =
         List.map
           (fun l -> cycles (if l = 0 then p0 else Opt_loop.optimize ~accel ~level:l p0))
-          [ 0; 1; 2; 3 ]
+          [ 0; 1; 3 ]
       in
       match cs with
-      | [ c0; c1; c2; c3 ] ->
+      | [ c0; c1; c3 ] ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s: cycles monotone O0 %d >= O1 %d >= O2 %d >= O3 %d" app.App.name
-               c0 c1 c2 c3)
+            (Printf.sprintf "%s: cycles monotone O0 %d >= O1 %d >= O3 %d" app.App.name c0 c1 c3)
             true
-            (c0 >= c1 && c1 >= c2 && c2 >= c3)
+            (c0 >= c1 && c1 >= c3)
       | _ -> assert false)
     App.all
 
@@ -348,6 +324,29 @@ let prop_o3_fixpoint =
       let p', map, _ = Opt.optimize_traced ~level:3 p in
       Program.validate p';
       equivalent p (p', map))
+
+let prop_shipped_o3 =
+  (* The shipped path — [Compile ~opt_level:L] then
+     [Opt_loop.post_compile] — on every app: O3 never schedules slower
+     than O1 or O0 under ooo-full on the base accelerator.  O1 <= O0
+     does not hold on this path (DESIGN.md §9), so it is not
+     asserted. *)
+  let accel = Accel.base () in
+  QCheck.Test.make ~name:"opt: shipped O3 cycles <= O1 and <= O0 on every app" ~count:8
+    QCheck.(make Gen.(int_range 0 1_000_000) ~print:Print.int)
+    (fun seed ->
+      List.iter
+        (fun (app : App.t) ->
+          let graphs = app.App.graphs (Rng.of_int seed) in
+          let cycles l =
+            let p = Opt_loop.post_compile ~level:l (Compile.compile_application ~opt_level:l graphs) in
+            (Schedule.run ~accel ~policy:Schedule.Ooo_full p).Schedule.cycles
+          in
+          let c0 = cycles 0 and c1 = cycles 1 and c3 = cycles 3 in
+          if c3 > c1 || c3 > c0 then
+            QCheck.Test.fail_reportf "%s: O0 %d, O1 %d, O3 %d cycles" app.App.name c0 c1 c3)
+        App.all;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Golden snapshots                                                    *)
@@ -481,7 +480,6 @@ let () =
               test_schedule_invariants_on_optimized;
             Alcotest.test_case "stall-weighted reorder" `Quick
               test_stall_weighted_reorder_equivalent;
-            Alcotest.test_case "O2 feedback round" `Quick test_reoptimize_feedback_round;
           ] );
       ( "o3",
         [
@@ -496,7 +494,7 @@ let () =
       ( "properties",
         qcheck
           (List.map (fun (name, pass) -> prop_pass name pass) passes
-          @ [ prop_pipeline; prop_superword; prop_o3_fixpoint ]) );
+          @ [ prop_pipeline; prop_superword; prop_o3_fixpoint; prop_shipped_o3 ]) );
       ( "golden",
         List.map
           (fun (a : App.t) -> Alcotest.test_case a.App.name `Quick (test_golden a))
