@@ -10,6 +10,7 @@
      sphere      the Sec. 4.3 representation study
      faults      seeded fault-injection campaign with recovery stats
      serve       multi-tenant serving runtime over an accelerator fleet
+     gate        check a JSON report against a committed baseline
      experiments regenerate every table and figure *)
 
 open Cmdliner
@@ -825,12 +826,6 @@ let serve_cmd =
   let json_flag =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the machine-readable report to stdout.")
   in
-  let baseline =
-    Arg.(value & opt (some file) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Compare the deadline-miss rate against a checked-in baseline JSON and exit \
-                   non-zero on regression.")
-  in
   let chaos_rate =
     Arg.(value & opt float 0.0
          & info [ "chaos" ] ~docv:"RATE"
@@ -856,15 +851,8 @@ let serve_cmd =
          & info [ "chaos-seed" ] ~docv:"SEED"
              ~doc:"Seed for the chaos schedule (defaults to the trace seed).")
   in
-  let chaos_baseline =
-    Arg.(value & opt (some file) None
-         & info [ "chaos-baseline" ] ~docv:"FILE"
-             ~doc:"Gate the chaos run on a checked-in baseline: availability floor and p99 \
-                   ceiling per apps key; also fails on any silent request loss.")
-  in
   let run apps_spec seed jobs opt_level requests rate burst instances policy queue max_batch
-      cache_capacity deadline_ms masked json baseline chaos_rate mttr retries hedge chaos_seed
-      chaos_baseline trace report =
+      cache_capacity deadline_ms masked json chaos_rate mttr retries hedge chaos_seed trace report =
     set_jobs jobs;
     let apps =
       if String.lowercase_ascii apps_spec = "all" then List.map (fun (a : App.t) -> a.App.name) App.all
@@ -951,88 +939,19 @@ let serve_cmd =
                                        ("serve", Serve.report_json r);
                                      ]))
     else print_string (Serve.table r);
-    Option.iter
-      (fun path ->
-        let ic = open_in path in
-        let contents = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let json = Orianna_obs.Json.parse contents in
-        let key = String.lowercase_ascii apps_spec in
-        match Orianna_obs.Json.member key json with
-        | None ->
-            Format.eprintf "baseline %s has no entry for %S@." path key;
-            exit 1
-        | Some entry -> (
-            match Orianna_obs.Json.member "deadline_miss_rate" entry with
-            | Some (Orianna_obs.Json.Num expected) ->
-                let tolerance = 0.005 in
-                if r.Serve.deadline_miss_rate > expected +. tolerance then begin
-                  Format.eprintf
-                    "DEADLINE-MISS REGRESSION: %s: rate %.4f exceeds baseline %.4f (+%.3f tolerance)@."
-                    key r.Serve.deadline_miss_rate expected tolerance;
-                  exit 1
-                end
-                else
-                  Format.printf "baseline ok: %s deadline-miss rate %.4f <= %.4f (+%.3f)@." key
-                    r.Serve.deadline_miss_rate expected tolerance
-            | _ ->
-                Format.eprintf "baseline %s entry %S lacks deadline_miss_rate@." path key;
-                exit 1))
-      baseline;
-    Option.iter
-      (fun path ->
-        let ic = open_in path in
-        let contents = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let bjson = Orianna_obs.Json.parse contents in
-        let key = String.lowercase_ascii apps_spec in
-        (* Conservation first: a chaos run must never lose an admitted
-           request silently, whatever the baseline says. *)
-        if not (Orianna_fault.Fleet_chaos.conserved trace_reqs r) then begin
-          Format.eprintf
-            "SILENT LOSS: %s: completions + rejections do not partition the trace ids@." key;
-          exit 1
-        end;
-        match Orianna_obs.Json.member key bjson with
-        | None ->
-            Format.eprintf "chaos baseline %s has no entry for %S@." path key;
-            exit 1
-        | Some entry -> (
-            let availability =
-              match r.Serve.chaos with Some c -> c.Serve.availability | None -> 1.0
-            in
-            match
-              ( Orianna_obs.Json.member "availability_floor" entry,
-                Orianna_obs.Json.member "p99_ceiling_ms" entry )
-            with
-            | Some (Orianna_obs.Json.Num floor), Some (Orianna_obs.Json.Num ceiling) ->
-                if availability < floor then begin
-                  Format.eprintf
-                    "AVAILABILITY REGRESSION: %s: %.4f below baseline floor %.4f@." key
-                    availability floor;
-                  exit 1
-                end;
-                if r.Serve.p99_ms > ceiling then begin
-                  Format.eprintf
-                    "P99-UNDER-FAULTS REGRESSION: %s: %.3f ms exceeds ceiling %.3f ms@." key
-                    r.Serve.p99_ms ceiling;
-                  exit 1
-                end;
-                Format.printf
-                  "chaos baseline ok: %s availability %.4f >= %.4f, p99 %.3f <= %.3f ms@." key
-                  availability floor r.Serve.p99_ms ceiling
-            | _ ->
-                Format.eprintf
-                  "chaos baseline %s entry %S lacks availability_floor/p99_ceiling_ms@." path key;
-                exit 1))
-      chaos_baseline
+    (* Conservation is an invariant, not a baseline: no admitted
+       request may vanish without a completion or a rejection. *)
+    if not (Orianna_fault.Fleet_chaos.conserved trace_reqs r) then begin
+      Format.eprintf "SILENT LOSS: %s: completions + rejections do not partition the trace ids@."
+        (String.lowercase_ascii apps_spec);
+      exit 1
+    end
   in
   let term =
     Term.(const run $ apps_flag $ seed_flag $ jobs_flag $ opt_level_flag $ requests $ rate $ burst
           $ instances $ policy $ queue
-          $ max_batch $ cache_capacity $ deadline_ms $ mask $ json_flag $ baseline $ chaos_rate
-          $ mttr $ retries $ hedge $ chaos_seed $ chaos_baseline $ trace_flag
-          $ report_flag)
+          $ max_batch $ cache_capacity $ deadline_ms $ mask $ json_flag $ chaos_rate
+          $ mttr $ retries $ hedge $ chaos_seed $ trace_flag $ report_flag)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1098,15 +1017,8 @@ let sessions_cmd =
   let json_flag =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the machine-readable report to stdout.")
   in
-  let baseline =
-    Arg.(value & opt (some file) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Gate the run on a checked-in session baseline: exact tick and completion \
-                   counts plus ceilings on restarts and the median affected fraction, keyed by \
-                   dataset; exits non-zero on regression.")
-  in
   let run dataset seed jobs opt_level steps tenants period_us solves window max_sessions
-      idle_timeout_ms queue json baseline trace report =
+      idle_timeout_ms queue json trace report =
     set_jobs jobs;
     let dname, stream =
       match dataset with
@@ -1183,79 +1095,12 @@ let sessions_cmd =
                 ("meta", Orianna_obs.Json.Obj (List.map (fun (k, v) -> (k, Orianna_obs.Json.Str v)) meta));
                 ("serve", Serve.report_json r);
               ]))
-    else print_string (Serve.table r);
-    Option.iter
-      (fun path ->
-        let ic = open_in path in
-        let contents = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let bjson = Orianna_obs.Json.parse contents in
-        match Orianna_obs.Json.member dname bjson with
-        | None ->
-            Format.eprintf "session baseline %s has no entry for %S@." path dname;
-            exit 1
-        | Some entry ->
-            let sr =
-              match r.Serve.sessions with
-              | Some sr -> sr
-              | None ->
-                  Format.eprintf "session baseline: the run carried no session report@.";
-                  exit 1
-            in
-            let num k =
-              match Orianna_obs.Json.member k entry with
-              | Some (Orianna_obs.Json.Num v) -> v
-              | _ ->
-                  Format.eprintf "session baseline %s entry %S lacks %s@." path dname k;
-                  exit 1
-            in
-            (* The tick count and completion total are exact: the DES is
-               deterministic, so any drift is a real behaviour change,
-               not noise.  Restarts and the affected fraction get
-               ceilings — the incremental win is the whole point. *)
-            if sr.Session.ticks_total <> int_of_float (num "ticks_total") then begin
-              Format.eprintf "SESSION-TICKS MISMATCH: %s: applied %d, baseline %d@." dname
-                sr.Session.ticks_total
-                (int_of_float (num "ticks_total"));
-              exit 1
-            end;
-            if r.Serve.completed <> int_of_float (num "completed") then begin
-              Format.eprintf "SESSION-COMPLETION MISMATCH: %s: completed %d, baseline %d@." dname
-                r.Serve.completed
-                (int_of_float (num "completed"));
-              exit 1
-            end;
-            if sr.Session.restarts_total > int_of_float (num "restarts_ceiling") then begin
-              Format.eprintf "SESSION-RESTART REGRESSION: %s: %d restarts exceed ceiling %d@."
-                dname sr.Session.restarts_total
-                (int_of_float (num "restarts_ceiling"));
-              exit 1
-            end;
-            let max_fraction =
-              List.fold_left
-                (fun acc (s : Session.session_stats) ->
-                  Float.max acc s.Session.median_affected_fraction)
-                0.0 sr.Session.per_session
-            in
-            let ceiling = num "median_affected_fraction_ceiling" in
-            if max_fraction > ceiling then begin
-              Format.eprintf
-                "AFFECTED-FRACTION REGRESSION: %s: median affected fraction %.4f exceeds \
-                 ceiling %.4f (incremental updates are re-eliminating too much)@."
-                dname max_fraction ceiling;
-              exit 1
-            end;
-            Format.printf
-              "session baseline ok: %s ticks %d completed %d restarts %d <= %d affected %.4f <= %.4f@."
-              dname sr.Session.ticks_total r.Serve.completed sr.Session.restarts_total
-              (int_of_float (num "restarts_ceiling"))
-              max_fraction ceiling)
-      baseline
+    else print_string (Serve.table r)
   in
   let term =
     Term.(const run $ dataset $ seed_flag $ jobs_flag $ opt_level_flag $ steps $ tenants
           $ period_us $ solves $ window $ max_sessions $ idle_timeout_ms $ queue $ json_flag
-          $ baseline $ trace_flag $ report_flag)
+          $ trace_flag $ report_flag)
   in
   Cmd.v
     (Cmd.info "sessions"
@@ -1382,6 +1227,40 @@ let chaos_cmd =
              p99-under-faults; exits non-zero iff any admitted request is lost silently.")
     term
 
+(* ---------------- gate ---------------- *)
+
+let gate_cmd =
+  let module Gate = Orianna_obs.Gate in
+  let arg i docv doc = Arg.(required & pos i (some string) None & info [] ~docv ~doc) in
+  let read file =
+    try In_channel.with_open_bin file In_channel.input_all
+    with Sys_error msg ->
+      Format.eprintf "gate error: %s@." msg;
+      exit 2
+  in
+  let run baseline key report =
+    match
+      Result.bind
+        (Gate.load ~file:baseline ~key (read baseline))
+        (fun checks -> Gate.check ~file:report ~key checks (read report))
+    with
+    | Error e ->
+        Format.eprintf "gate error: %s@." (Gate.error_message e);
+        exit 2
+    | Ok verdicts ->
+        List.iter (fun v -> print_endline (Gate.verdict_line ~key v)) verdicts;
+        if not (List.for_all Gate.passed verdicts) then exit 1
+  in
+  Cmd.v
+    (Cmd.info "gate"
+       ~doc:"Check a JSON report against the checks listed under KEY in a baseline file: one \
+             verdict line per check; exits 1 on a regression and 2 on a malformed or \
+             unreadable file.")
+    Term.(const run
+          $ arg 0 "BASELINE" "Baseline file mapping keys to lists of checks."
+          $ arg 1 "KEY" "Which baseline entry to check (an apps key, a dataset, ...)."
+          $ arg 2 "REPORT" "JSON report to check, e.g. a saved $(b,serve --json).")
+
 (* ---------------- experiments ---------------- *)
 
 let experiments_cmd =
@@ -1441,4 +1320,4 @@ let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   let info = Cmd.info "orianna" ~version:"1.0.0" ~doc:"Accelerator generation for optimization-based robotics." in
   exit (Cmd.eval (Cmd.group ~default info
-    [ solve_cmd; compile_cmd; generate_cmd; simulate_cmd; trace_cmd; profile_cmd; image_cmd; mission_cmd; sphere_cmd; g2o_cmd; faults_cmd; serve_cmd; sessions_cmd; chaos_cmd; experiments_cmd ]))
+    [ solve_cmd; compile_cmd; generate_cmd; simulate_cmd; trace_cmd; profile_cmd; image_cmd; mission_cmd; sphere_cmd; g2o_cmd; faults_cmd; serve_cmd; sessions_cmd; chaos_cmd; gate_cmd; experiments_cmd ]))

@@ -18,40 +18,44 @@ let dim = 2
 let poses = 120
 let loop_every = 30
 
-(* Plain linear factors: prior and relative measurements on 2D
-   positions (the linear core an iSAM-style smoother operates on). *)
+(* Linear factors on 2D positions: a prior and relative measurements.
+   With relinearization and marginalization off, the smoother runs the
+   exact linear (iSAM) core: its estimates are bit-identical to a batch
+   elimination of the same factors. *)
 let prior ~var ~z ~sigma =
-  {
-    Linear_system.vars = [ var ];
-    blocks = [ (var, Mat.scale (1.0 /. sigma) (Mat.identity dim)) ];
-    rhs = Vec.scale (-1.0 /. sigma) (Vec.sub [| 0.0; 0.0 |] z);
-  }
+  Factor.native ~name:("prior " ^ var) ~vars:[ var ] ~sigmas:(Array.make dim sigma) ~error_dim:dim
+    (fun lookup ->
+      match lookup var with
+      | Var.Vector x -> (Vec.sub x z, [ (var, Mat.identity dim) ])
+      | _ -> invalid_arg "prior: expects a vector variable")
 
 let between ~a ~b ~z ~sigma =
-  let w = 1.0 /. sigma in
-  {
-    Linear_system.vars = [ a; b ];
-    blocks =
-      [ (a, Mat.scale (-.w) (Mat.identity dim)); (b, Mat.scale w (Mat.identity dim)) ];
-    rhs = Vec.scale w z;
-  }
+  Factor.native ~name:(a ^ "->" ^ b) ~vars:[ a; b ] ~sigmas:(Array.make dim sigma) ~error_dim:dim
+    (fun lookup ->
+      match (lookup a, lookup b) with
+      | Var.Vector xa, Var.Vector xb ->
+          (Vec.sub (Vec.sub xb xa) z, [ (a, Mat.neg (Mat.identity dim)); (b, Mat.identity dim) ])
+      | _ -> invalid_arg "between: expects vector variables")
 
 let name i = Printf.sprintf "x%d" i
+let zero = Var.Vector (Vec.create dim)
 
 let () =
   let rng = Rng.of_int 31415 in
-  let inc = Incremental.create () in
+  let linear = { Smoother.relin_threshold = 0.0; max_relin_passes = 0; window = None } in
+  let sm = Smoother.create ~params:linear () in
   let all_factors = ref [] in
   let affected_counts = ref [] in
   let push f =
     all_factors := f :: !all_factors;
-    Incremental.update inc [ f ];
-    affected_counts := (Incremental.stats inc).Incremental.affected_last :: !affected_counts
+    Smoother.add_factor sm f;
+    Smoother.update sm;
+    affected_counts := (Smoother.stats sm).Smoother.affected_last :: !affected_counts
   in
-  Incremental.add_variable inc (name 0) dim;
+  Smoother.add_variable sm (name 0) zero;
   push (prior ~var:(name 0) ~z:[| 0.0; 0.0 |] ~sigma:0.1);
   for i = 1 to poses - 1 do
-    Incremental.add_variable inc (name i) dim;
+    Smoother.add_variable sm (name i) zero;
     let z = [| 1.0 +. Rng.gaussian_sigma rng ~sigma:0.05; Rng.gaussian_sigma rng ~sigma:0.05 |] in
     push (between ~a:(name (i - 1)) ~b:(name i) ~z ~sigma:0.1);
     if i mod loop_every = 0 then
@@ -64,16 +68,23 @@ let () =
            ~sigma:0.2)
   done;
 
-  (* Exactness: incremental == batch over all factors. *)
-  let incremental = Incremental.solution inc in
-  let batch = Incremental.batch_equivalent inc !all_factors in
+  (* Exactness: incremental == batch over all factors, linearized at
+     the zero initial estimates. *)
+  let batch =
+    Elimination.solve
+      ~order:(Smoother.live_variables sm)
+      ~dims:(fun _ -> dim)
+      (List.rev_map (fun f -> Linear_system.of_factor f (fun _ -> zero)) !all_factors)
+  in
   let max_diff =
     List.fold_left
-      (fun acc (v, d) -> Float.max acc (Vec.dist d (List.assoc v batch)))
-      0.0 incremental
+      (fun acc (v, est) ->
+        match est with
+        | Var.Vector x -> Float.max acc (Vec.dist x (List.assoc v batch))
+        | _ -> acc)
+      0.0 (Smoother.estimates sm)
   in
-  Format.printf "streamed %d poses, %d updates@." poses
-    (Incremental.stats inc).Incremental.updates;
+  Format.printf "streamed %d poses, %d updates@." poses (Smoother.stats sm).Smoother.updates;
   Format.printf "incremental vs batch solution: max difference %.2e@." max_diff;
   assert (max_diff < 1e-8);
 

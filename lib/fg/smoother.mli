@@ -1,5 +1,7 @@
-(** Nonlinear incremental smoother: the iSAM-style partial
-    re-elimination of {!Incremental} grown to full nonlinear streams.
+(** Nonlinear incremental smoother: iSAM-style partial re-elimination
+    of the square-root factor over full nonlinear streams.  With
+    relinearization and marginalization off it is the exact linear
+    iSAM core.
 
     The smoother keeps, per frontal variable, the conditional {e and}
     the leftover factor its elimination produced.  An update

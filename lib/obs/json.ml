@@ -113,7 +113,11 @@ let parse_string c =
         | Some 'u' ->
             advance c;
             if c.pos + 4 > String.length c.src then fail c "truncated \\u escape";
-            let code = int_of_string ("0x" ^ String.sub c.src c.pos 4) in
+            let code =
+              match int_of_string_opt ("0x" ^ String.sub c.src c.pos 4) with
+              | Some code -> code
+              | None -> fail c "bad \\u escape"
+            in
             c.pos <- c.pos + 4;
             (* Escaped control characters are all we ever emit; decode
                the BMP code point as UTF-8 for completeness. *)

@@ -134,7 +134,7 @@ let test_json_rejects_garbage () =
       match Json.parse s with
       | exception Json.Parse_error _ -> ()
       | _ -> Alcotest.failf "accepted malformed input %S" s)
-    [ "{"; "[1,"; "tru"; "\"open"; "{\"a\" 1}"; "[] trailing" ]
+    [ "{"; "[1,"; "tru"; "\"open"; "{\"a\" 1}"; "[] trailing"; "\"\\uzzzz\"" ]
 
 (* ---------------- exporters ---------------- *)
 
@@ -355,6 +355,180 @@ let test_chrome_meta_events_roundtrip () =
   | None -> Alcotest.fail "counter missing args");
   Alcotest.(check bool) "counter pid" true (Json.member "pid" counter = Some (Json.Num 3.0))
 
+(* ---------------- gate ---------------- *)
+
+module Gate = Orianna_obs.Gate
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let verdict ?(tolerance = 0.0) ?(path = "x") op bound report =
+  match Gate.check ~file:"r.json" ~key:"k" [ { Gate.path; op; bound; tolerance } ] report with
+  | Ok [ v ] -> v
+  | Ok vs -> Alcotest.failf "%d verdicts for one check" (List.length vs)
+  | Error e -> Alcotest.fail (Gate.error_message e)
+
+let gate_passes ?tolerance ?path op bound report =
+  Gate.passed (verdict ?tolerance ?path op bound report)
+
+let test_gate_boundary () =
+  (* A value sitting exactly on its bound passes every op; one step
+     past it fails. *)
+  let r = {|{"x": 0.025}|} in
+  List.iter
+    (fun op -> Alcotest.(check bool) "on the bound" true (gate_passes op 0.025 r))
+    [ Gate.Le; Gate.Ge; Gate.Eq ];
+  Alcotest.(check bool) "le just below" false (gate_passes Gate.Le (Float.pred 0.025) r);
+  Alcotest.(check bool) "ge just above" false (gate_passes Gate.Ge (Float.succ 0.025) r);
+  Alcotest.(check bool) "eq off by one ulp" false (gate_passes Gate.Eq (Float.succ 0.025) r);
+  let v = verdict Gate.Le 0.5 {|{"x": 0.75}|} in
+  Alcotest.(check (float 0.0)) "signed margin" (-0.25) v.Gate.margin;
+  Alcotest.(check string) "verdict line" "k x = 0.75 le 0.5 +/- 0 margin -0.25 REGRESSION"
+    (Gate.verdict_line ~key:"k" v)
+
+let test_gate_tolerance () =
+  let r = {|{"x": 1.0}|} in
+  Alcotest.(check bool) "le within" true (gate_passes ~tolerance:0.25 Gate.Le 0.75 r);
+  Alcotest.(check bool) "le beyond" false (gate_passes ~tolerance:0.125 Gate.Le 0.75 r);
+  Alcotest.(check bool) "ge within" true (gate_passes ~tolerance:0.25 Gate.Ge 1.25 r);
+  Alcotest.(check bool) "ge beyond" false (gate_passes ~tolerance:0.125 Gate.Ge 1.25 r);
+  Alcotest.(check bool) "eq within" true (gate_passes ~tolerance:0.5 Gate.Eq 1.5 r);
+  Alcotest.(check bool) "eq beyond" false (gate_passes ~tolerance:0.25 Gate.Eq 1.5 r)
+
+let test_gate_every_element () =
+  let r = {|{"a": {"s": [{"f": 0.1}, {"f": 0.5}, {"f": 0.2}]}}|} in
+  let v = verdict ~path:"a.s[*].f" Gate.Le 0.3 r in
+  Alcotest.(check bool) "one element over fails" false (Gate.passed v);
+  Alcotest.(check string) "worst element named" "a.s[1].f" v.Gate.at;
+  Alcotest.(check (float 0.0)) "worst value" 0.5 v.Gate.value;
+  Alcotest.(check bool) "all under passes" true (gate_passes ~path:"a.s[*].f" Gate.Le 0.5 r)
+
+let test_gate_errors () =
+  let expect_error what ~path result =
+    match result with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error (e : Gate.error) ->
+        Alcotest.(check string) (what ^ ": path") path e.Gate.path;
+        let msg = Gate.error_message e in
+        Alcotest.(check bool) (what ^ ": names the path in " ^ msg) true
+          (path = "" || contains msg path)
+  in
+  let check path report =
+    Gate.check ~file:"r.json" ~key:"k"
+      [ { Gate.path; op = Gate.Le; bound = 1.0; tolerance = 0.0 } ]
+      report
+  in
+  expect_error "missing path" ~path:"serve.nope" (check "serve.nope" {|{"serve": {"x": 1}}|});
+  expect_error "not a number" ~path:"serve.x" (check "serve.x" {|{"serve": {"x": "1"}}|});
+  expect_error "[*] on an object" ~path:"serve[*].x" (check "serve[*].x" {|{"serve": {"x": 1}}|});
+  expect_error "[*] over nothing" ~path:"a[*]" (check "a[*]" {|{"a": []}|});
+  expect_error "malformed report" ~path:"" (check "x" {|{"x": 1|});
+  let load text = Gate.load ~file:"b.json" ~key:"k" text in
+  expect_error "missing key" ~path:"" (load {|{"j": []}|});
+  expect_error "no checks" ~path:"" (load {|{"k": []}|});
+  expect_error "bad op" ~path:"x" (load {|{"k": [{"path": "x", "op": "lt", "bound": 1}]}|});
+  expect_error "unknown field" ~path:"x"
+    (load {|{"k": [{"path": "x", "op": "le", "bound": 1, "tolerence": 0.1}]}|});
+  expect_error "negative tolerance" ~path:"x"
+    (load {|{"k": [{"path": "x", "op": "le", "bound": 1, "tolerance": -1}]}|});
+  expect_error "empty segment" ~path:"a..b"
+    (load {|{"k": [{"path": "a..b", "op": "le", "bound": 1}]}|});
+  (match load {|{"k": [{"path": "x", "op": "le", "bound": 1|} with
+  | Error e ->
+      Alcotest.(check bool) "parse error carries the byte offset" true
+        (contains e.Gate.reason "at offset 43")
+  | Ok _ -> Alcotest.fail "accepted a truncated baseline");
+  match load {|{"comment": "c", "k": [{"path": "x", "op": "ge", "bound": 2}]}|} with
+  | Ok [ c ] -> Alcotest.(check (float 0.0)) "tolerance defaults to 0" 0.0 c.Gate.tolerance
+  | _ -> Alcotest.fail "valid baseline rejected"
+
+(* The committed CI baselines, found from the test directory (dune
+   runtest) or the repository root (dune exec). *)
+let ci_file name = Filename.concat (if Sys.file_exists "ci" then "ci" else "../ci") name
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let baseline_keys text =
+  match Json.parse text with
+  | Json.Obj fields -> List.filter (( <> ) "comment") (List.map fst fields)
+  | _ -> []
+
+let test_gate_schema () =
+  (* Every path in the serve, chaos and session gate files must resolve
+     to a number in the report serve and sessions emit today. *)
+  let module Serve = Orianna_serve.Serve in
+  let module Request = Orianna_serve.Request in
+  let module Session = Orianna_serve.Session in
+  let module Stream = Orianna_apps.Stream in
+  let trace =
+    Request.generate ~rng:(Orianna_util.Rng.of_int 42)
+      ~shape:(Request.Poisson { rate_hz = 20000.0 })
+      ~apps:[ "MobileRobot" ] ~deadline_s:(1e-3, 4e-3) ~n:20
+  in
+  let report ?sessions config =
+    let r = Serve.run ~config ?sessions ~trace () in
+    Json.to_string (Json.Obj [ ("serve", Serve.report_json r) ])
+  in
+  let chaos =
+    report
+      {
+        Serve.default_config with
+        Serve.chaos = Some (Orianna_serve.Chaos.of_intensity ~seed:42 0.1);
+        max_retries = 2;
+      }
+  in
+  let stream =
+    let module Datasets = Orianna_apps.Datasets in
+    Stream.manhattan ~cfg:{ Datasets.default_config with Datasets.steps = 11 } ()
+  in
+  let mission =
+    let priority = Request.Normal in
+    { Session.mid = 0; stream; start_s = 0.0; period_s = 1e-4; priority; deadline_slack_s = 50e-3 }
+  in
+  let sessions =
+    report ~sessions:(Session.create ~opt_level:1 ~missions:[ mission ] ()) Serve.default_config
+  in
+  List.iter
+    (fun (name, report) ->
+      let text = read_file (ci_file name) in
+      List.iter
+        (fun key ->
+          let checked cs = Gate.check ~file:"report" ~key cs report in
+          match Result.bind (Gate.load ~file:name ~key text) checked with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail (Gate.error_message e))
+        (baseline_keys text))
+    [
+      ("serve_baseline.json", chaos);
+      ("chaos_baseline.json", chaos);
+      ("session_baseline.json", sessions);
+    ]
+
+let prop_gate_hostile_baselines =
+  (* Truncate or flip one byte of a committed baseline: loading it, and
+     checking it as a report, returns Ok or a structured error. *)
+  let names = [| "serve"; "chaos"; "session"; "isa_opt" |] in
+  QCheck.Test.make ~name:"gate: truncated or byte-flipped baselines never raise" ~count:400
+    QCheck.(quad (int_bound 3) (int_bound 100_000) bool (int_bound 255))
+    (fun (which, at, truncate, byte) ->
+      let name = names.(which) ^ "_baseline.json" in
+      let text = read_file (ci_file name) in
+      let at = at mod String.length text in
+      let hostile =
+        if truncate then String.sub text 0 at
+        else String.mapi (fun i c -> if i = at then Char.chr byte else c) text
+      in
+      List.for_all
+        (fun key ->
+          let never_raises = function Ok _ | Error (_ : Gate.error) -> true in
+          never_raises (Gate.load ~file:name ~key hostile)
+          && never_raises
+               (Gate.check ~file:name ~key
+                  [ { Gate.path = key ^ "[*].bound"; op = Gate.Le; bound = 1e9; tolerance = 0.0 } ]
+                  hostile))
+        (baseline_keys text))
+
 let () =
   Alcotest.run "obs"
     [
@@ -384,5 +558,14 @@ let () =
           Alcotest.test_case "chrome trace valid json" `Quick test_chrome_trace_valid_json;
           Alcotest.test_case "chrome metadata round-trip" `Quick test_chrome_meta_events_roundtrip;
           Alcotest.test_case "run report" `Quick test_report_roundtrip;
+        ] );
+      ( "gate",
+        [
+          Alcotest.test_case "ops at the boundary" `Quick test_gate_boundary;
+          Alcotest.test_case "tolerance" `Quick test_gate_tolerance;
+          Alcotest.test_case "every element" `Quick test_gate_every_element;
+          Alcotest.test_case "structured errors" `Quick test_gate_errors;
+          Alcotest.test_case "ci baselines match the serve report" `Quick test_gate_schema;
+          QCheck_alcotest.to_alcotest prop_gate_hostile_baselines;
         ] );
     ]
