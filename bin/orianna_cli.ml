@@ -42,6 +42,33 @@ let app_arg =
 let app_pos =
   Arg.(required & pos 0 (some app_arg) None & info [] ~docv:"APP" ~doc:"Application name (MobileRobot, Manipulator, AutoVehicle, Quadrotor).")
 
+(* "all", or a comma list of names through [app_arg]: an unknown name
+   or an empty list is a usage error. *)
+let apps_arg =
+  let parse spec =
+    if String.lowercase_ascii spec = "all" then Ok App.all
+    else
+      let names =
+        String.split_on_char ',' spec |> List.map String.trim |> List.filter (fun s -> s <> "")
+      in
+      if names = [] then Error (`Msg "no applications selected")
+      else
+        List.fold_right
+          (fun name acc ->
+            Result.bind (Arg.conv_parser app_arg name) (fun a ->
+                Result.map (fun apps -> a :: apps) acc))
+          names (Ok [])
+  in
+  let print ppf apps =
+    Format.pp_print_string ppf (String.concat "," (List.map (fun (a : App.t) -> a.App.name) apps))
+  in
+  Arg.conv (parse, print)
+
+let apps_flag =
+  Arg.(value & opt apps_arg App.all
+       & info [ "apps" ] ~docv:"APPS"
+           ~doc:"Comma-separated application names, or \"all\" for every registered app.")
+
 let seed_flag =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Workload random seed.")
 
@@ -97,6 +124,35 @@ let report_flag =
        & info [ "report" ] ~docv:"FILE"
            ~doc:"Write a flat JSON run report: counters, gauges, histogram summaries and the span tree.")
 
+(* Every file-writing flag is checked before the work starts: the path
+   is opened for writing (created if missing, never truncated), so an
+   unwritable path fails fast with a structured error naming the flag
+   and the path, exit 2, instead of a [Sys_error] escaping after the
+   whole run.  [write_output] reports a late write failure the same
+   way. *)
+let output_failure ~flag path message =
+  Format.eprintf "orianna: %a@." Error.pp
+    { Error.phase = Error.Runtime; context = [ flag; path ]; message };
+  exit 2
+
+let check_outputs outputs =
+  List.iter
+    (fun (flag, path) ->
+      Option.iter
+        (fun path ->
+          try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 path)
+          with Sys_error msg -> output_failure ~flag path msg)
+        path)
+    outputs
+
+let write_output ~flag path write =
+  (try write path with Sys_error msg -> output_failure ~flag path msg);
+  Format.printf "wrote %s@." path
+
+let write_string ~flag path contents =
+  write_output ~flag path (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents))
+
 (* Run [f] with the telemetry registry enabled whenever an export was
    requested; [f] returns extra trace events (e.g. the scheduler's
    per-instruction slices) to append after the pipeline spans. *)
@@ -106,17 +162,16 @@ let std_meta meta =
   Report.standard_meta ~extra:meta ~jobs:(Orianna_par.Pool.default_jobs ()) ()
 
 let with_obs ~trace ~report ~meta f =
+  check_outputs [ ("--trace", trace); ("--report", report) ];
   if trace <> None || report <> None then Obs.enable ();
   let extra = f () in
   Option.iter
     (fun path ->
-      Chrome_trace.write_file path (Chrome_trace.of_spans (Obs.spans ()) @ extra);
-      Format.printf "wrote %s@." path)
+      write_output ~flag:"--trace" path (fun path ->
+          Chrome_trace.write_file path (Chrome_trace.of_spans (Obs.spans ()) @ extra)))
     trace;
   Option.iter
-    (fun path ->
-      Report.write_file ~meta:(std_meta meta) path;
-      Format.printf "wrote %s@." path)
+    (fun path -> write_output ~flag:"--report" path (Report.write_file ~meta:(std_meta meta)))
     report
 
 (* ---------------- solve ---------------- *)
@@ -265,20 +320,23 @@ let trace_cmd =
   let dot = Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc:"Write the dependency DAG as GraphViz dot.") in
   let svg = Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc:"Write a Gantt chart as SVG.") in
   let run app seed policy gantt dot svg =
+    check_outputs [ ("--gantt", gantt); ("--dot", dot); ("--svg", svg) ];
     let frame = Pipeline.frame app ~seed in
     let accel = (Pipeline.generate frame.Pipeline.program).Dse.best in
     let r = Schedule.run ~accel ~policy frame.Pipeline.program in
     print_string (Orianna_sim.Trace.utilization_timeline frame.Pipeline.program r);
     Format.printf "makespan: %d cycles (%.1f us)@." r.Schedule.cycles (r.Schedule.seconds *. 1e6);
-    let write path contents =
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc;
-      Format.printf "wrote %s@." path
-    in
-    Option.iter (fun path -> write path (Orianna_sim.Trace.gantt_csv frame.Pipeline.program r)) gantt;
-    Option.iter (fun path -> write path (Orianna_sim.Trace.to_dot frame.Pipeline.program)) dot;
-    Option.iter (fun path -> write path (Orianna_viz.Plots.gantt_svg frame.Pipeline.program r)) svg
+    Option.iter
+      (fun path ->
+        write_string ~flag:"--gantt" path (Orianna_sim.Trace.gantt_csv frame.Pipeline.program r))
+      gantt;
+    Option.iter
+      (fun path -> write_string ~flag:"--dot" path (Orianna_sim.Trace.to_dot frame.Pipeline.program))
+      dot;
+    Option.iter
+      (fun path ->
+        write_string ~flag:"--svg" path (Orianna_viz.Plots.gantt_svg frame.Pipeline.program r))
+      svg
   in
   let term = Term.(const run $ app_pos $ seed_flag $ policy_flag $ gantt $ dot $ svg) in
   Cmd.v (Cmd.info "trace" ~doc:"Dump schedule timelines, Gantt CSVs and dependency graphs.") term
@@ -303,11 +361,11 @@ let mission_cmd =
 let image_cmd =
   let out = Arg.(required & opt (some string) None & info [ "o" ] ~docv:"FILE" ~doc:"Output binary image.") in
   let run app seed out =
+    check_outputs [ ("-o", Some out) ];
     let frame = Pipeline.frame app ~seed in
     let image = Orianna_isa.Encode.encode frame.Pipeline.program in
-    let oc = open_out_bin out in
-    output_string oc image;
-    close_out oc;
+    (try Out_channel.with_open_bin out (fun oc -> output_string oc image)
+     with Sys_error msg -> output_failure ~flag:"-o" out msg);
     let kernels = Orianna_isa.Encode.kernel_names frame.Pipeline.program in
     Format.printf "wrote %s: %d bytes, %d instructions, %d opaque kernels@." out
       (String.length image)
@@ -330,20 +388,17 @@ let sphere_cmd =
   let csv = Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Dump the Fig. 9 trajectories as CSV.") in
   let svg = Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc:"Render the Fig. 9 trajectories as SVG.") in
   let run csv svg =
+    check_outputs [ ("--csv", csv); ("--svg", svg) ];
     print_string (Experiments.table1 ());
     if csv <> None || svg <> None then begin
       let ds = Sphere.generate Sphere.default_config in
       let estimate = Sphere.unified_estimate ds in
-      let write path contents =
-        let oc = open_out path in
-        output_string oc contents;
-        close_out oc;
-        Format.printf "wrote %s@." path
-      in
-      Option.iter (fun path -> write path (Sphere.trajectory_csv ds ~estimate)) csv;
+      Option.iter
+        (fun path -> write_string ~flag:"--csv" path (Sphere.trajectory_csv ds ~estimate))
+        csv;
       Option.iter
         (fun path ->
-          write path
+          write_string ~flag:"--svg" path
             (Orianna_viz.Plots.trajectory_svg ~truth:ds.Sphere.truth ~initial:ds.Sphere.initial
                ~estimate ()))
         svg
@@ -358,6 +413,7 @@ let g2o_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"g2o pose-graph file.") in
   let out = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE" ~doc:"Write the optimized graph back in g2o form.") in
   let run file out =
+    check_outputs [ ("-o", out) ];
     let ic = open_in file in
     let n = in_channel_length ic in
     let contents = really_input_string ic n in
@@ -381,10 +437,7 @@ let g2o_cmd =
               | Orianna_fg.Var.Se3 _ | Orianna_fg.Var.Vector _ -> None)
             (Graph.variables g)
         in
-        let oc = open_out path in
-        output_string oc (Orianna_apps.G2o.to_string entries);
-        close_out oc;
-        Format.printf "wrote %s@." path)
+        write_string ~flag:"-o" path (Orianna_apps.G2o.to_string entries))
       out
   in
   let term = Term.(const run $ file $ out) in
@@ -538,17 +591,16 @@ let profile_cmd =
     end;
     Option.iter
       (fun path ->
-        Chrome_trace.write_file path
-          (Chrome_trace.of_spans (Obs.spans ()) @ Pool.chrome_events par_records);
-        Format.printf "wrote %s@." path)
+        write_output ~flag:"--trace" path (fun path ->
+            Chrome_trace.write_file path
+              (Chrome_trace.of_spans (Obs.spans ()) @ Pool.chrome_events par_records)))
       trace;
     Option.iter
-      (fun path ->
-        Report.write_file ~meta ~extra:[ par_json ] path;
-        Format.printf "wrote %s@." path)
+      (fun path -> write_output ~flag:"--report" path (Report.write_file ~meta ~extra:[ par_json ]))
       report
   in
   let run app seed jobs opt_level policy json par trace report =
+    check_outputs [ ("--trace", trace); ("--report", report) ];
     if par then
       run_par app seed
         (match jobs with Some n -> max 1 n | None -> Orianna_par.Pool.default_jobs ())
@@ -646,15 +698,13 @@ let profile_cmd =
     end;
     Option.iter
       (fun path ->
-        Chrome_trace.write_file path
-          (Chrome_trace.of_spans (Obs.spans ())
-          @ Orianna_sim.Trace.chrome_events program r);
-        Format.printf "wrote %s@." path)
+        write_output ~flag:"--trace" path (fun path ->
+            Chrome_trace.write_file path
+              (Chrome_trace.of_spans (Obs.spans ()) @ Orianna_sim.Trace.chrome_events program r)))
       trace;
     Option.iter
       (fun path ->
-        Report.write_file ~meta ~extra:[ profile_extra ] path;
-        Format.printf "wrote %s@." path)
+        write_output ~flag:"--report" path (Report.write_file ~meta ~extra:[ profile_extra ]))
       report
     end
   in
@@ -754,11 +804,6 @@ let serve_cmd =
   let module Request = Orianna_serve.Request in
   let module Dispatch = Orianna_serve.Dispatch in
   let module Cache = Orianna_serve.Cache in
-  let apps_flag =
-    Arg.(value & opt string "all"
-         & info [ "apps" ] ~docv:"APPS"
-             ~doc:"Comma-separated application names, or \"all\" for every registered app.")
-  in
   let requests = Arg.(value & opt int 200 & info [ "requests" ] ~docv:"N" ~doc:"Trace length.") in
   let rate = Arg.(value & opt float 20000.0 & info [ "rate" ] ~docv:"HZ" ~doc:"Mean arrival rate.") in
   let burst =
@@ -851,21 +896,11 @@ let serve_cmd =
          & info [ "chaos-seed" ] ~docv:"SEED"
              ~doc:"Seed for the chaos schedule (defaults to the trace seed).")
   in
-  let run apps_spec seed jobs opt_level requests rate burst instances policy queue max_batch
+  let run apps seed jobs opt_level requests rate burst instances policy queue max_batch
       cache_capacity deadline_ms masked json chaos_rate mttr retries hedge chaos_seed trace report =
     set_jobs jobs;
-    let apps =
-      if String.lowercase_ascii apps_spec = "all" then List.map (fun (a : App.t) -> a.App.name) App.all
-      else
-        String.split_on_char ',' apps_spec
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-        |> List.map (fun s -> (App.find s).App.name)
-    in
-    if apps = [] then begin
-      Format.eprintf "no applications selected@.";
-      exit 2
-    end;
+    check_outputs [ ("--trace", trace); ("--report", report) ];
+    let apps = List.map (fun (a : App.t) -> a.App.name) apps in
     let shape =
       if burst > 1 then Request.Bursty { rate_hz = rate; burst } else Request.Poisson { rate_hz = rate }
     in
@@ -921,29 +956,27 @@ let serve_cmd =
     let r = Serve.run ~config ~trace:trace_reqs () in
     Option.iter
       (fun path ->
-        Chrome_trace.write_file path
-          (Chrome_trace.of_spans (Obs.spans ()) @ Serve.chrome_events r);
-        Format.printf "wrote %s@." path)
+        write_output ~flag:"--trace" path (fun path ->
+            Chrome_trace.write_file path
+              (Chrome_trace.of_spans (Obs.spans ()) @ Serve.chrome_events r)))
       trace;
     (* The flat run report embeds the campaign summary under "serve",
        the same shape `profile --json` uses for its section. *)
     Option.iter
       (fun path ->
-        Report.write_file ~meta ~extra:[ ("serve", Serve.report_json r) ] path;
-        Format.printf "wrote %s@." path)
+        write_output ~flag:"--report" path
+          (Report.write_file ~meta ~extra:[ ("serve", Serve.report_json r) ]))
       report;
-    if json then print_endline (Orianna_obs.Json.to_string
-                                  (Orianna_obs.Json.Obj
-                                     [
-                                       ("meta", Orianna_obs.Json.Obj (List.map (fun (k, v) -> (k, Orianna_obs.Json.Str v)) meta));
-                                       ("serve", Serve.report_json r);
-                                     ]))
+    if json then
+      print_endline
+        (Orianna_obs.Json.to_string
+           (Orianna_obs.Json.Obj [ ("meta", Report.meta_json meta); ("serve", Serve.report_json r) ]))
     else print_string (Serve.table r);
     (* Conservation is an invariant, not a baseline: no admitted
        request may vanish without a completion or a rejection. *)
     if not (Orianna_fault.Fleet_chaos.conserved trace_reqs r) then begin
       Format.eprintf "SILENT LOSS: %s: completions + rejections do not partition the trace ids@."
-        (String.lowercase_ascii apps_spec);
+        (String.lowercase_ascii (String.concat "," apps));
       exit 1
     end
   in
@@ -1020,6 +1053,7 @@ let sessions_cmd =
   let run dataset seed jobs opt_level steps tenants period_us solves window max_sessions
       idle_timeout_ms queue json trace report =
     set_jobs jobs;
+    check_outputs [ ("--trace", trace); ("--report", report) ];
     let dname, stream =
       match dataset with
       | `Manhattan ->
@@ -1078,23 +1112,19 @@ let sessions_cmd =
     let r = Serve.run ~config ~sessions ~trace:solve_trace () in
     Option.iter
       (fun path ->
-        Chrome_trace.write_file path
-          (Chrome_trace.of_spans (Obs.spans ()) @ Serve.chrome_events r);
-        Format.printf "wrote %s@." path)
+        write_output ~flag:"--trace" path (fun path ->
+            Chrome_trace.write_file path
+              (Chrome_trace.of_spans (Obs.spans ()) @ Serve.chrome_events r)))
       trace;
     Option.iter
       (fun path ->
-        Report.write_file ~meta ~extra:[ ("serve", Serve.report_json r) ] path;
-        Format.printf "wrote %s@." path)
+        write_output ~flag:"--report" path
+          (Report.write_file ~meta ~extra:[ ("serve", Serve.report_json r) ]))
       report;
     if json then
       print_endline
         (Orianna_obs.Json.to_string
-           (Orianna_obs.Json.Obj
-              [
-                ("meta", Orianna_obs.Json.Obj (List.map (fun (k, v) -> (k, Orianna_obs.Json.Str v)) meta));
-                ("serve", Serve.report_json r);
-              ]))
+           (Orianna_obs.Json.Obj [ ("meta", Report.meta_json meta); ("serve", Serve.report_json r) ]))
     else print_string (Serve.table r)
   in
   let term =
@@ -1115,11 +1145,6 @@ let sessions_cmd =
 let chaos_cmd =
   let module FC = Orianna_fault.Fleet_chaos in
   let module Dispatch = Orianna_serve.Dispatch in
-  let apps_flag =
-    Arg.(value & opt string "all"
-         & info [ "apps" ] ~docv:"APPS"
-             ~doc:"Comma-separated application names, or \"all\" for every registered app.")
-  in
   let runs =
     Arg.(value & opt int FC.default_config.FC.runs
          & info [ "runs" ] ~docv:"N" ~doc:"Monte-Carlo serving runs (one chaos seed each).")
@@ -1160,22 +1185,10 @@ let chaos_cmd =
              ~doc:"Print the campaign summary as JSON. The payload contains no timings, so it \
                    diffs byte-for-byte across job counts.")
   in
-  let run apps_spec seed jobs opt_level runs requests intensity mttr retries hedge instances
+  let run apps seed jobs opt_level runs requests intensity mttr retries hedge instances
       policy json =
     set_jobs jobs;
-    let apps =
-      if String.lowercase_ascii apps_spec = "all" then
-        List.map (fun (a : App.t) -> a.App.name) App.all
-      else
-        String.split_on_char ',' apps_spec
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-        |> List.map (fun s -> (App.find s).App.name)
-    in
-    if apps = [] then begin
-      Format.eprintf "no applications selected@.";
-      exit 2
-    end;
+    let apps = List.map (fun (a : App.t) -> a.App.name) apps in
     let config =
       {
         FC.default_config with
@@ -1198,15 +1211,13 @@ let chaos_cmd =
            (Orianna_obs.Json.Obj
               [
                 ( "meta",
-                  Orianna_obs.Json.Obj
-                    (List.map
-                       (fun (k, v) -> (k, Orianna_obs.Json.Str v))
-                       (std_meta
-                          [
-                            ("command", "chaos");
-                            ("apps", String.concat "," apps);
-                            ("seed", string_of_int seed);
-                          ])) );
+                  Report.meta_json
+                    (std_meta
+                       [
+                         ("command", "chaos");
+                         ("apps", String.concat "," apps);
+                         ("seed", string_of_int seed);
+                       ]) );
                 ("chaos", FC.json summary);
               ]))
     else print_string (FC.table summary);
@@ -1319,5 +1330,10 @@ let () =
   | None -> ());
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   let info = Cmd.info "orianna" ~version:"1.0.0" ~doc:"Accelerator generation for optimization-based robotics." in
-  exit (Cmd.eval (Cmd.group ~default info
-    [ solve_cmd; compile_cmd; generate_cmd; simulate_cmd; trace_cmd; profile_cmd; image_cmd; mission_cmd; sphere_cmd; g2o_cmd; faults_cmd; serve_cmd; sessions_cmd; chaos_cmd; gate_cmd; experiments_cmd ]))
+  let code =
+    Cmd.eval (Cmd.group ~default info
+      [ solve_cmd; compile_cmd; generate_cmd; simulate_cmd; trace_cmd; profile_cmd; image_cmd; mission_cmd; sphere_cmd; g2o_cmd; faults_cmd; serve_cmd; sessions_cmd; chaos_cmd; gate_cmd; experiments_cmd ])
+  in
+  (* Usage errors (an unknown app, a bad flag value) exit 2, like every
+     other rejected input. *)
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -15,23 +15,25 @@ let se3_construct_scale = 1.64
 
 let generate ?(budget = Resource.zc706) ?(objective = `Latency) ?(policy = Schedule.Ooo_full)
     program =
+  let prepared = Schedule.prepare program in
   let evaluate accel =
-    let r = Schedule.run ~accel ~policy program in
+    let r = Schedule.run_prepared ~accel ~policy prepared in
     match objective with `Latency -> r.Schedule.seconds | `Energy -> r.Schedule.energy_j
   in
   Dse.optimize ~budget ~evaluate ()
 
 let generate_multi ?(budget = Resource.zc706) ~objective programs =
   if programs = [] then invalid_arg "Pipeline.generate_multi: no programs";
+  let prepared = List.map Schedule.prepare programs in
   let evaluate accel =
     let metrics =
       List.map
         (fun p ->
-          let r = Schedule.run ~accel ~policy:Schedule.Ooo_full p in
+          let r = Schedule.run_prepared ~accel ~policy:Schedule.Ooo_full p in
           match objective with
           | `Mean_latency | `Tail_latency -> r.Schedule.seconds
           | `Energy -> r.Schedule.energy_j)
-        programs
+        prepared
     in
     match objective with
     | `Mean_latency | `Energy ->

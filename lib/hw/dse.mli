@@ -53,7 +53,8 @@ val optimize :
     function of the configuration.  Uncached candidates of a round are
     evaluated in parallel on the {!Orianna_par.Pool} (results are
     independent of the job count; [evaluate] must be thread-safe —
-    the simulator's [Schedule.run] is). *)
+    the simulator's [Schedule.run_prepared] is, on one prepared
+    program shared by every lane). *)
 
 val move_name : move option -> string
 (** ["initial"], ["+<class>"] or ["widen-qr"] — the names the trace

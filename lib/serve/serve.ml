@@ -176,10 +176,11 @@ let compile_graphs ~budget ~opt_level graphs =
      paths, so the artifact matches its (structural key, opt_level)
      cache key. *)
   let program = Opt_loop.post_compile ~level:opt_level program in
+  let prepared = Schedule.prepare program in
   let dse =
     Dse.optimize ~budget
       ~evaluate:(fun accel ->
-        (Schedule.run ~accel ~policy:Schedule.Ooo_full program).Schedule.seconds)
+        (Schedule.run_prepared ~accel ~policy:Schedule.Ooo_full prepared).Schedule.seconds)
       ()
   in
   (program, dse)

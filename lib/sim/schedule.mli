@@ -71,6 +71,28 @@ type priority_policy =
   | Critical_path  (** longest latency-weighted path to a sink (default) *)
   | Fifo  (** program order among ready instructions *)
 
+type prepared
+(** The accelerator-invariant part of scheduling one program: unit
+    classes, dependency edges, [Ooo_fine] partitions, dynamic energy,
+    and — filled lazily, once per QR rotator width — unit latencies and
+    critical-path priorities.  Safe to share across domains: the DSE
+    evaluates its candidates on one [prepared] from every pool lane. *)
+
+val prepare : Program.t -> prepared
+
+val run_prepared :
+  ?priority:priority_policy ->
+  ?jitter:(int -> int) ->
+  accel:Accel.t ->
+  policy:policy ->
+  prepared ->
+  result
+(** Schedule the prepared program on [accel].  [jitter] (fault
+    injection) adds extra execution cycles to an instruction on top of
+    its analytic unit latency; negative values are clamped to 0.
+    Results do not depend on which runs, accelerators or domains
+    shared the [prepared] before. *)
+
 val run :
   ?priority:priority_policy ->
   ?jitter:(int -> int) ->
@@ -78,10 +100,9 @@ val run :
   policy:policy ->
   Program.t ->
   result
-(** [jitter] (fault injection) adds extra execution cycles to an
-    instruction on top of its analytic unit latency; negative values
-    are clamped to 0.  Omitted, the schedule is bit-identical to
-    previous behaviour. *)
+(** [run_prepared] on a fresh [prepare]: for one-off schedules.  Call
+    sites that schedule one program on many accelerators (the DSE
+    objective) prepare once and call {!run_prepared}. *)
 
 val check_invariants : accel:Accel.t -> Program.t -> result -> (unit, string) Stdlib.result
 (** Runtime assertion of the schedule's internal accounting, re-derived

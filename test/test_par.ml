@@ -6,9 +6,12 @@
      failing slot's exception, and degrade to sequential execution
      when nested;
    - [Rng.split_n] equals repeated in-loop splitting;
-   - the array-based scheduler hot path ([Schedule.run]) matches a
-     verbatim copy of the seed's hashtable-based implementation on
-     random compiled applications, across all three issue policies;
+   - the scheduler hot path ([Schedule.run], and [Schedule.run_prepared]
+     on one [prepared] reused across a DSE-like accelerator sequence)
+     matches a verbatim copy of the seed's hashtable-based
+     implementation field for field on random compiled applications,
+     across all three issue policies, both priority policies, latency
+     jitter and widened QR arrays;
    - fault campaigns and DSE produce identical summaries at any job
      count, and the shared DSE cache memoizes candidate evaluation;
    - [Obs] counters are exact under concurrent counting from several
@@ -128,9 +131,9 @@ let test_split_n_matches_split_loop () =
 
 (* ---------- differential scheduler check ---------- *)
 
-(* Verbatim copy of the seed's hashtable-based scheduler (telemetry
-   stripped), kept as the reference the rewritten array-based hot path
-   is differenced against. *)
+(* Verbatim copy of the seed's hashtable-based scheduler and its
+   accounting (telemetry stripped), kept as the reference the
+   array-based hot path is differenced against. *)
 module Ref_sched = struct
   module Heap = Orianna_util.Heap
 
@@ -266,28 +269,35 @@ module Ref_sched = struct
       p.Program.instrs;
     !makespan
 
-  (* Starts, finishes and makespan under the seed's dispatch logic
-     (nominal latencies, critical-path priority). *)
-  let run ~accel ~policy (p : Program.t) =
+  (* The full result under the seed's dispatch logic and accounting. *)
+  let run ?(priority = Schedule.Critical_path) ?jitter ~accel ~policy (p : Program.t) =
     let n = Array.length p.Program.instrs in
     let src_shape id = (p.Program.instrs.(id).Instr.rows, p.Program.instrs.(id).Instr.cols) in
-    let latency_of id =
+    let nominal id =
       let ins = p.Program.instrs.(id) in
       Unit_model.latency
         (Unit_model.class_of_op ins.Instr.op)
         ~qr_rotators:accel.Accel.qr_rotators ins ~src_shape
     in
+    let latency_of =
+      match jitter with None -> nominal | Some j -> fun id -> nominal id + max 0 (j id)
+    in
+    let prio () =
+      match priority with
+      | Schedule.Critical_path -> priorities p latency_of
+      | Schedule.Fifo -> Array.init n (fun i -> -i)
+    in
     let counts = accel.Accel.counts in
     let starts = Array.make n 0 and finishes = Array.make n 0 in
+    let issue_base = Array.make n 0 in
     let makespan =
       match policy with
       | Schedule.In_order -> schedule_in_order p ~latency_of ~starts ~finishes
       | Schedule.Ooo_full ->
-          let prio = priorities p latency_of in
-          schedule_ooo p ~latency_of ~prio ~counts ~starts ~finishes ~ids:(Array.init n Fun.id)
-            ~t0:0
+          schedule_ooo p ~latency_of ~prio:(prio ()) ~counts ~starts ~finishes
+            ~ids:(Array.init n Fun.id) ~t0:0
       | Schedule.Ooo_fine ->
-          let prio = priorities p latency_of in
+          let prio = prio () in
           let algos =
             Array.fold_left
               (fun acc (i : Instr.t) ->
@@ -303,45 +313,176 @@ module Ref_sched = struct
                   |> List.filter_map (fun (i : Instr.t) ->
                          if i.Instr.algo = algo then Some i.Instr.id else None))
               in
+              Array.iter (fun id -> issue_base.(id) <- t0) ids;
               schedule_ooo p ~latency_of ~prio ~counts ~starts ~finishes ~ids ~t0)
             0 algos
     in
-    (starts, finishes, makespan)
+    let phase_busy = Hashtbl.create 4 in
+    let bump tbl k v =
+      Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+    in
+    let unit_busy = Hashtbl.create 8 in
+    let dynamic = ref 0.0 in
+    let stall_operand = ref 0 and stall_structural = ref 0 in
+    Array.iter
+      (fun (ins : Instr.t) ->
+        let id = ins.Instr.id in
+        let cls = Unit_model.class_of_op ins.Instr.op in
+        let lat = latency_of id in
+        bump phase_busy ins.Instr.phase lat;
+        bump unit_busy cls lat;
+        let base = issue_base.(id) in
+        let ready = Array.fold_left (fun acc s -> max acc finishes.(s)) base ins.Instr.srcs in
+        stall_operand := !stall_operand + (ready - base);
+        stall_structural := !stall_structural + (starts.(id) - ready);
+        dynamic := !dynamic +. Unit_model.dynamic_energy_nj cls ins ~src_shape)
+      p.Program.instrs;
+    let seconds = float_of_int makespan /. (accel.Accel.clock_mhz *. 1e6) in
+    let dynamic_energy_j = !dynamic *. 1e-9 in
+    let static_energy_j = Accel.static_power_w accel *. seconds in
+    let sorted tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare in
+    {
+      Schedule.cycles = makespan;
+      seconds;
+      dynamic_energy_j;
+      static_energy_j;
+      energy_j = dynamic_energy_j +. static_energy_j;
+      phase_busy = sorted phase_busy;
+      unit_busy = sorted unit_busy;
+      utilization =
+        List.map
+          (fun (cls, k) ->
+            let busy = Option.value ~default:0 (Hashtbl.find_opt unit_busy cls) in
+            (cls, float_of_int busy /. float_of_int (max 1 (makespan * k))))
+          counts;
+      instructions = n;
+      starts;
+      finishes;
+      issue_base;
+      stall_operand_cycles = !stall_operand;
+      stall_structural_cycles = !stall_structural;
+    }
 end
 
 let apps = Array.of_list App.all
 
-let accel_variant i =
+(* A DSE-like walk: the greedy search replicates units and widens the
+   QR array one move at a time, and revisits configurations across
+   rounds.  Run on one [prepared], this exercises the lazily filled
+   per-rotator-width latency tables in every order. *)
+let dse_walk =
   let base = Accel.base () in
-  match i mod 4 with
-  | 0 -> base
-  | 1 -> Accel.with_extra base Unit_model.Matmul
-  | 2 -> Accel.with_extra (Accel.with_extra base Unit_model.Matmul) Unit_model.Qr_unit
-  | _ ->
-      List.fold_left Accel.with_extra base
-        [ Unit_model.Matmul; Unit_model.Matmul; Unit_model.Vector_alu; Unit_model.Dma ]
+  let m = Accel.with_extra base Unit_model.Matmul in
+  let mw = Accel.with_wider_qr m in
+  let mwq = Accel.with_extra mw Unit_model.Qr_unit in
+  let mwqw = Accel.with_wider_qr mwq in
+  let wide =
+    List.fold_left Accel.with_extra mwqw
+      [ Unit_model.Matmul; Unit_model.Vector_alu; Unit_model.Dma; Unit_model.Special ]
+  in
+  [ base; m; mw; Accel.with_wider_qr base; mwq; mwqw; m; wide; base; mw ]
+
+let accel_variant i = List.nth dse_walk (i mod List.length dse_walk)
 
 let sched_arb =
   QCheck.(
     make
-      Gen.(triple (int_range 0 1_000_000) (int_range 0 3) (int_range 0 3))
+      Gen.(triple (int_range 0 1_000_000) (int_range 0 3) (int_range 0 1_000))
       ~print:Print.(triple int int int))
 
+let policies = [ Schedule.In_order; Schedule.Ooo_fine; Schedule.Ooo_full ]
+
+(* Fault-injection style jitter: extra cycles (some negative, clamped
+   to 0) on a seed-dependent sprinkle of instructions. *)
+let jitter_of salt id = if (id + salt) mod 11 = 0 then (id mod 5) - 1 else 0
+
+let same_result what (r : Schedule.result) (e : Schedule.result) =
+  let fail field = QCheck.Test.fail_reportf "%s: %s differs" what field in
+  if r.Schedule.cycles <> e.Schedule.cycles then fail "cycles";
+  if r.Schedule.seconds <> e.Schedule.seconds then fail "seconds";
+  if r.Schedule.dynamic_energy_j <> e.Schedule.dynamic_energy_j then fail "dynamic_energy_j";
+  if r.Schedule.static_energy_j <> e.Schedule.static_energy_j then fail "static_energy_j";
+  if r.Schedule.energy_j <> e.Schedule.energy_j then fail "energy_j";
+  if r.Schedule.phase_busy <> e.Schedule.phase_busy then fail "phase_busy";
+  if r.Schedule.unit_busy <> e.Schedule.unit_busy then fail "unit_busy";
+  if r.Schedule.utilization <> e.Schedule.utilization then fail "utilization";
+  if r.Schedule.instructions <> e.Schedule.instructions then fail "instructions";
+  if r.Schedule.starts <> e.Schedule.starts then fail "starts";
+  if r.Schedule.finishes <> e.Schedule.finishes then fail "finishes";
+  if r.Schedule.issue_base <> e.Schedule.issue_base then fail "issue_base";
+  if r.Schedule.stall_operand_cycles <> e.Schedule.stall_operand_cycles then
+    fail "stall_operand_cycles";
+  if r.Schedule.stall_structural_cycles <> e.Schedule.stall_structural_cycles then
+    fail "stall_structural_cycles";
+  (* Belt and braces: nothing outside the fields named above. *)
+  r = e
+
 let prop_schedule_matches_seed_reference =
-  QCheck.Test.make ~name:"schedule: array hot path = seed hashtable reference (all policies)"
-    ~count:12 sched_arb (fun (seed, app_i, accel_i) ->
+  QCheck.Test.make
+    ~name:"schedule: array hot path = seed hashtable reference, every field (fresh and shared prepared)"
+    ~count:12 sched_arb (fun (seed, app_i, salt) ->
       let app = apps.(app_i mod Array.length apps) in
       let p = Compile.compile_application (app.App.graphs (Rng.of_int seed)) in
-      let accel = accel_variant accel_i in
+      let prepared = Schedule.prepare p in
       List.for_all
-        (fun policy ->
-          let r = Schedule.run ~accel ~policy p in
-          let starts, finishes, makespan = Ref_sched.run ~accel ~policy p in
-          r.Schedule.cycles = makespan
-          && r.Schedule.starts = starts
-          && r.Schedule.finishes = finishes
-          && Schedule.check_invariants ~accel p r = Ok ())
-        [ Schedule.In_order; Schedule.Ooo_fine; Schedule.Ooo_full ])
+        (fun accel ->
+          List.for_all
+            (fun policy ->
+              List.for_all
+                (fun (priority, jitter) ->
+                  let what =
+                    Printf.sprintf "%s %s %s qr%d %s%s" app.App.name accel.Accel.name
+                      (Schedule.policy_name policy) accel.Accel.qr_rotators
+                      (match priority with Schedule.Critical_path -> "cp" | Schedule.Fifo -> "fifo")
+                      (if jitter = None then "" else " jitter")
+                  in
+                  let expected = Ref_sched.run ~priority ?jitter ~accel ~policy p in
+                  let fresh = Schedule.run ~priority ?jitter ~accel ~policy p in
+                  let shared = Schedule.run_prepared ~priority ?jitter ~accel ~policy prepared in
+                  same_result ("fresh " ^ what) fresh expected
+                  && same_result ("shared " ^ what) shared expected
+                  && (jitter <> None || Schedule.check_invariants ~accel p fresh = Ok ()))
+                [
+                  (Schedule.Critical_path, None);
+                  (Schedule.Fifo, None);
+                  (Schedule.Critical_path, Some (jitter_of salt));
+                ])
+            policies)
+        (accel_variant salt :: dse_walk))
+
+(* One [prepared] whose latency tables start empty, evaluated from four
+   pool lanes at once over the whole walk (several lanes race to fill
+   the same rotator width), must give exactly the sequential fresh
+   runs. *)
+let test_shared_prepared_on_pool_lanes () =
+  let p = Compile.compile_application (App.quadrotor.App.graphs (Rng.of_int 11)) in
+  let accels = Array.of_list (dse_walk @ dse_walk) in
+  let expected = Array.map (fun accel -> Schedule.run ~accel ~policy:Schedule.Ooo_full p) accels in
+  let prepared = Schedule.prepare p in
+  let got =
+    Pool.parallel_map ~jobs:4 ~chunk:1
+      (fun accel -> Schedule.run_prepared ~accel ~policy:Schedule.Ooo_full prepared)
+      accels
+  in
+  Array.iteri
+    (fun i e -> Alcotest.(check bool) (Printf.sprintf "candidate %d identical" i) true (got.(i) = e))
+    expected
+
+(* The DSE objective runs on one prepared program shared by every pool
+   lane: the search result must not depend on the job count. *)
+let test_generate_identical_across_jobs () =
+  let generate jobs p =
+    Pool.set_default_jobs jobs;
+    Dse.result_json (Orianna.Pipeline.generate p)
+  in
+  List.iter
+    (fun (app : App.t) ->
+      let p = Compile.compile_application (app.App.graphs (Rng.of_int 42)) in
+      Util_jdiff.check_identical
+        ~what:("Pipeline.generate " ^ app.App.name)
+        (generate 1 p) (generate 4 p))
+    App.all;
+  Pool.set_default_jobs 1
 
 (* ---------- campaign / DSE job-count invariance ---------- *)
 
@@ -495,7 +636,14 @@ let () =
         [
           Alcotest.test_case "split_n = repeated split" `Quick test_split_n_matches_split_loop;
         ] );
-      ("schedule", [ QCheck_alcotest.to_alcotest prop_schedule_matches_seed_reference ]);
+      ( "schedule",
+        [
+          QCheck_alcotest.to_alcotest prop_schedule_matches_seed_reference;
+          Alcotest.test_case "shared prepared on pool lanes = fresh runs" `Quick
+            test_shared_prepared_on_pool_lanes;
+          Alcotest.test_case "generate identical at -j1 and -j4" `Quick
+            test_generate_identical_across_jobs;
+        ] );
       ( "sweeps",
         [
           Alcotest.test_case "campaign identical at -j1 and -j4" `Quick
